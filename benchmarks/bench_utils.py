@@ -4,8 +4,8 @@ Hosts the scalar reference implementation and the work-unit accounting
 used by both ``test_bench_kernel.py`` and ``test_bench_timeline.py``,
 plus the ``BENCH_timeline.json`` recorder: every throughput benchmark
 merges its numbers into that one committed file so the performance
-trajectory of the evaluation stack (scalar → round walk → fused →
-numba) stays visible across PRs (see ROADMAP.md).
+trajectory of the evaluation stack (scalar → round walk → fused)
+stays visible across PRs (see ROADMAP.md).
 """
 
 import json

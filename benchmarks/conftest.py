@@ -8,9 +8,16 @@ doubles as a reproduction log:
     pytest benchmarks/ --benchmark-only
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.retention import RefreshBinning, RetentionProfiler
+
+# The timeline benchmark times the round-walk oracle in tests/oracles.py;
+# make the repository root importable however pytest is invoked.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 
 @pytest.fixture(scope="session")

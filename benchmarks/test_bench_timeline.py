@@ -1,13 +1,14 @@
-"""Per-backend throughput of the fused timeline (the PR's tentpole bar).
+"""Per-strategy throughput of the fused timeline vs the round-walk oracle.
 
 Measures warm-evaluator refresh-evaluation throughput in
 **row-intervals per second** on the Fig. 4 default bank (8192x32, 1 s
 of simulated time) for every evaluation strategy side by side:
 
 * ``scalar`` — the pre-refactor per-row ``refresh_row`` loop;
-* ``loop`` — the PR 3 round walk (one batched ``decide`` per round);
-* ``fused`` — the fused ndarray timeline (numpy kernels);
-* ``numba`` — the jitted kernels, when numba is installed.
+* ``loop`` — the round-walk oracle (one batched ``decide`` per round,
+  ``tests/oracles.py``);
+* ``fused`` — the fused ndarray timeline (numpy kernels), via
+  :class:`~repro.sim.fastpath.RefreshOverheadEvaluator`.
 
 Asserts the tentpole acceptance bar — fused >= 10x the round walk on a
 warm evaluator, statistics bit-identical across all strategies — and
@@ -26,13 +27,11 @@ from bench_utils import (
     scalar_reference,
 )
 from repro.controller import build_policy
-from repro.sim import NUMBA_AVAILABLE, RefreshOverheadEvaluator
+from repro.sim import RefreshOverheadEvaluator
 from repro.technology import DEFAULT_TECH
+from tests.oracles import round_walk
 
 DURATION_SECONDS = 1.0
-
-#: Warm evaluator backends timed side by side (numba when installed).
-TIMED_BACKENDS = ("loop", "fused") + (("numba",) if NUMBA_AVAILABLE else ())
 
 #: Acceptance floors for fused-vs-round-walk speedup.  The tentpole's
 #: >= 10x bar is pinned on the VRL policies (the paper's headline,
@@ -68,54 +67,51 @@ class TestTimelineThroughput:
         stats = {"scalar": scalar_reference(policy, TIMING, duration_cycles)}
         seconds = {"scalar": time.perf_counter() - start}
 
-        evaluators = {
-            backend: RefreshOverheadEvaluator(policy, TIMING, backend=backend)
-            for backend in TIMED_BACKENDS
+        evaluator = RefreshOverheadEvaluator(policy, TIMING)
+        evaluator.evaluate(duration_cycles)  # warm: compile + caches
+        strategies = {
+            "loop": (lambda: round_walk(policy, TIMING, duration_cycles), 3),
+            "fused": (lambda: evaluator.evaluate(duration_cycles), 15),
         }
-        for backend, evaluator in evaluators.items():
-            evaluator.evaluate(duration_cycles)  # warm: compile + caches
-            rounds = 3 if backend == "loop" else 15
-            seconds[backend], stats[backend] = _best_of(
-                lambda e=evaluator: e.evaluate(duration_cycles), rounds
-            )
+        for name, (evaluate, rounds) in strategies.items():
+            seconds[name], stats[name] = _best_of(evaluate, rounds)
 
         reference = stats["scalar"]
-        for backend, got in stats.items():
+        for name, got in stats.items():
             assert (
                 got.full_refreshes, got.partial_refreshes, got.refresh_cycles
             ) == (
                 reference.full_refreshes,
                 reference.partial_refreshes,
                 reference.refresh_cycles,
-            ), f"backend {backend!r} diverged from the scalar walk"
+            ), f"strategy {name!r} diverged from the scalar walk"
 
         # pytest-benchmark record of the headline (fused) strategy.
         benchmark.pedantic(
-            evaluators["fused"].evaluate, args=(duration_cycles,),
+            evaluator.evaluate, args=(duration_cycles,),
             rounds=5, iterations=1,
         )
 
         throughput = {
-            backend: intervals / elapsed for backend, elapsed in seconds.items()
+            name: intervals / elapsed for name, elapsed in seconds.items()
         }
         speedup = seconds["loop"] / seconds["fused"]
         benchmark.extra_info["row_intervals"] = intervals
         benchmark.extra_info["speedup_fused_vs_loop"] = speedup
-        for backend, rate in throughput.items():
-            benchmark.extra_info[f"{backend}_row_intervals_per_s"] = rate
+        for name, rate in throughput.items():
+            benchmark.extra_info[f"{name}_row_intervals_per_s"] = rate
         record_timeline_bench(
             f"timeline/{policy_name}",
             {
                 "row_intervals": intervals,
                 "row_intervals_per_s": throughput,
                 "speedup_fused_vs_loop": speedup,
-                "numba_available": NUMBA_AVAILABLE,
             },
         )
         print(
             f"\n{policy_name}: {intervals} row-intervals — "
             + ", ".join(
-                f"{backend} {rate:,.0f}/s" for backend, rate in throughput.items()
+                f"{name} {rate:,.0f}/s" for name, rate in throughput.items()
             )
             + f", fused vs loop {speedup:.1f}x"
         )

@@ -10,18 +10,17 @@ Shows the extension surface: subclass
 :class:`~repro.controller.refresh.VRLAccessPolicy`, override
 ``refresh_row``, and drop the policy into the standard simulator —
 nothing else changes.  Overriding only the scalar ``refresh_row`` /
-``on_access`` is fully supported even though the simulators drive the
-batch kernel (``decide`` / ``on_access_rows``): the kernel detects
-scalar-only overrides and transparently falls back to looping them, so
-this policy runs unmodified through the vectorized
-:class:`~repro.sim.fastpath.RefreshOverheadEvaluator` below.  The same
-detection steers the evaluator's fused-timeline backend: a policy like
-this one reports ``supports_fused_timeline() == False``, so
-``backend="auto"`` drops to the round walk instead of mispricing the
-custom decisions (``tests/test_timeline_fused.py`` pins the results
-identical either way).  Policies that want the vectorized fast surface
-override ``_decide_batch`` / ``_on_access_batch`` instead (see
-``docs/architecture.md``).
+``on_access`` is fully supported: a policy like this one reports
+``supports_fused_timeline() == False``, so the
+:class:`~repro.sim.fastpath.RefreshOverheadEvaluator` below prices it
+on the cycle-level engine (which walks every refresh in time order, as
+this policy's global refresh index needs) instead of mispricing the
+custom decisions with the fused timeline
+(``tests/test_timeline_fused.py`` pins the evaluator to the engine).
+That is exact but slower than the fused path the built-in policies
+take.  Policies that want the vectorized fast surface override
+``_decide_batch`` / ``_on_access_batch`` and ``timeline_spec`` instead
+(see ``docs/architecture.md``).
 
 Run:  python examples/custom_policy.py
 """

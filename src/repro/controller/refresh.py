@@ -255,7 +255,7 @@ class RefreshPolicy:
         decision kernel must override this *together with* their batch
         hooks, or the fused timeline will refuse them (see
         :meth:`supports_fused_timeline`) and the simulators fall back to
-        the round-by-round kernel walk.
+        the cycle-level event loops.
         """
         n = self.n_rows
         return TimelineSpec(
@@ -275,8 +275,8 @@ class RefreshPolicy:
         style, e.g. ``examples/custom_policy.py``) or ``_decide_batch``
         / ``_on_access_batch`` without providing a matching
         ``timeline_spec`` gets ``False`` here, and every fused-timeline
-        consumer falls back to looping the batch kernel — trading speed
-        for fidelity, never silently dropping the customization.
+        consumer falls back to its cycle-level event loop — trading
+        speed for fidelity, never silently dropping the customization.
         """
         cls = type(self)
         return not any(

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..retention import RetentionProfiler
-from ..runner import ExperimentRunner
 from ..service import Query, driver_client
 from ..technology import DEFAULT_GEOMETRY, DEFAULT_TECH, BankGeometry, TechnologyParams
 from .result import ExperimentResult
@@ -36,7 +35,6 @@ def run_baseline_comparison(
     duration_seconds: float = 1.0,
     benchmark: Optional[str] = "canneal",
     seed: int = RetentionProfiler.DEFAULT_SEED,
-    runner: Optional[ExperimentRunner] = None,
     client=None,
 ) -> ExperimentResult:
     """Compare six refresh mechanisms on one workload.
@@ -48,10 +46,9 @@ def run_baseline_comparison(
         benchmark: workload name for the access-aware policies; ``None``
             runs refresh-only.
         seed: profiling / trace seed.
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one.
-        client: service client (local or remote) to sweep through
-            instead; results are bit-identical either way.
+        client: service client (local or remote) to sweep through;
+            defaults to a transient serial, uncached in-process one.
+            Results are bit-identical for any client.
     """
     queries = [
         Query(
@@ -66,7 +63,7 @@ def run_baseline_comparison(
         )
         for mechanism in BASELINE_MECHANISMS
     ]
-    with driver_client(client, runner) as service:
+    with driver_client(client) as service:
         report = service.sweep(queries, experiment="baselines")
 
     descriptions = {

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..runner import ExperimentRunner
 from ..service import Query, driver_client
 from ..technology import DEFAULT_GEOMETRY, DEFAULT_TECH, BankGeometry, TechnologyParams
 from .result import ExperimentResult
@@ -39,7 +38,6 @@ def run_calibration_study(
     start_lo: float = DEFAULT_START_LO,
     start_hi: float = DEFAULT_START_HI,
     n_points: int = DEFAULT_POINTS,
-    runner: Optional[ExperimentRunner] = None,
     client=None,
 ) -> ExperimentResult:
     """Analytic-vs-circuit restoration residuals per restore target.
@@ -51,10 +49,9 @@ def run_calibration_study(
             technology default partial target).
         start_lo / start_hi: bounds of the starting-charge profile.
         n_points: lanes per calibration (points in the profile).
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one.
-        client: service client (local or remote) to sweep through
-            instead; results are bit-identical either way.
+        client: service client (local or remote) to sweep through;
+            defaults to a transient serial, uncached in-process one.
+            Results are bit-identical for any client.
     """
     queries = [
         Query(
@@ -69,7 +66,7 @@ def run_calibration_study(
         )
         for target in targets
     ]
-    with driver_client(client, runner) as service:
+    with driver_client(client) as service:
         report = service.sweep(queries, experiment="calibrate")
 
     rows = []

@@ -18,7 +18,6 @@ import numpy as np
 from ..model import RefreshLatencyModel
 from ..power import RefreshPowerModel
 from ..retention import RetentionProfiler
-from ..runner import ExperimentRunner
 from ..service import Query, driver_client
 from ..sim.stats import RefreshStats
 from ..technology import DEFAULT_GEOMETRY, DEFAULT_TECH, BankGeometry, TechnologyParams
@@ -37,7 +36,6 @@ def run_fig4(
     nbits: int = 2,
     seed: int = RetentionProfiler.DEFAULT_SEED,
     include_power: bool = True,
-    runner: Optional[ExperimentRunner] = None,
     client=None,
 ) -> ExperimentResult:
     """Run the full benchmark suite under the three policies.
@@ -51,11 +49,9 @@ def run_fig4(
         nbits: VRL counter width.
         seed: retention-profiling / trace-generation seed.
         include_power: also compute the refresh power ratio.
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one (results are
-            identical for any runner configuration).
-        client: service client (local or remote) to sweep through
-            instead; results are bit-identical either way.
+        client: service client (local or remote) to sweep through;
+            defaults to a transient serial, uncached in-process one.
+            Results are bit-identical for any client.
     """
     names = list(benchmarks) if benchmarks else list(PARSEC_WORKLOADS)
     for name in names:
@@ -79,7 +75,7 @@ def run_fig4(
         )
         for policy, bench in grid
     ]
-    with driver_client(client, runner) as service:
+    with driver_client(client) as service:
         report = service.sweep(queries, experiment="fig4")
     stats = {
         pair: RefreshStats(**payload)

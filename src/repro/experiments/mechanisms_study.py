@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 from ..controller import MECHANISMS
 from ..retention import RetentionProfiler
-from ..runner import ExperimentRunner
 from ..service import Query, driver_client
 from ..technology import DEFAULT_GEOMETRY, DEFAULT_TECH, BankGeometry, TechnologyParams
 from .result import ExperimentResult
@@ -56,7 +55,6 @@ def run_mechanism_matrix(
     duration_seconds: float = 0.2,
     nbits: int = 2,
     seed: int = RetentionProfiler.DEFAULT_SEED,
-    runner: Optional[ExperimentRunner] = None,
     client=None,
 ) -> ExperimentResult:
     """Run the mechanisms × workloads × temperatures matrix.
@@ -75,10 +73,9 @@ def run_mechanism_matrix(
             — keep it modest).
         nbits: VRL counter width.
         seed: profiling / trace seed.
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one.
-        client: service client (local or remote) to sweep through
-            instead; results are bit-identical either way.
+        client: service client (local or remote) to sweep through;
+            defaults to a transient serial, uncached in-process one.
+            Results are bit-identical for any client.
     """
     unknown = [name for name in mechanisms if name not in MECHANISMS]
     if unknown:
@@ -119,7 +116,7 @@ def run_mechanism_matrix(
         )
         for benchmark, temperature, rows, mechanism in grid
     ]
-    with driver_client(client, runner) as service:
+    with driver_client(client) as service:
         report = service.sweep(queries, experiment="mechanisms")
 
     descriptions = {info.name: info.description for info in MECHANISMS.describe()}

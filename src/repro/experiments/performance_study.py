@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..retention import RetentionProfiler
-from ..runner import ExperimentRunner
 from ..service import Query, driver_client
 from ..sim.stats import RefreshStats, RequestStats
 from ..technology import DEFAULT_GEOMETRY, DEFAULT_TECH, BankGeometry, TechnologyParams
@@ -38,7 +37,6 @@ def run_performance_study(
     duration_seconds: float = 0.3,
     benchmarks: Optional[Sequence[str]] = None,
     seed: int = RetentionProfiler.DEFAULT_SEED,
-    runner: Optional[ExperimentRunner] = None,
     client=None,
 ) -> ExperimentResult:
     """Cycle-level request-latency comparison across refresh policies.
@@ -49,10 +47,9 @@ def run_performance_study(
         duration_seconds: simulated time per (benchmark, policy) pair.
         benchmarks: benchmark names; defaults to a four-workload subset.
         seed: profiling / trace seed.
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one.
-        client: service client (local or remote) to sweep through
-            instead; results are bit-identical either way.
+        client: service client (local or remote) to sweep through;
+            defaults to a transient serial, uncached in-process one.
+            Results are bit-identical for any client.
     """
     names = list(benchmarks) if benchmarks else list(DEFAULT_BENCHMARKS)
     for name in names:
@@ -76,7 +73,7 @@ def run_performance_study(
         )
         for bench, policy in grid
     ]
-    with driver_client(client, runner) as service:
+    with driver_client(client) as service:
         report = service.sweep(queries, experiment="performance")
     outcomes = {
         pair: (RefreshStats(**payload["refresh"]), RequestStats(**payload["requests"]))

@@ -16,10 +16,7 @@ the rank blocked-time fraction (probability >= 1 bank is refreshing).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..retention import RetentionProfiler
-from ..runner import ExperimentRunner
 from ..service import Query, driver_client
 from ..technology import DEFAULT_TECH, BankGeometry, TechnologyParams
 from .result import ExperimentResult
@@ -34,7 +31,6 @@ def run_rank_comparison(
     n_banks: int = 8,
     duration_seconds: float = 0.5,
     seed: int = RetentionProfiler.DEFAULT_SEED,
-    runner: Optional[ExperimentRunner] = None,
     client=None,
 ) -> ExperimentResult:
     """Compare refresh modes at rank granularity.
@@ -47,10 +43,9 @@ def run_rank_comparison(
         n_banks: banks per rank (DDR3: 8).
         duration_seconds: simulated horizon.
         seed: base profiling seed (each bank gets its own profile).
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one.
-        client: service client (local or remote) to sweep through
-            instead; results are bit-identical either way.
+        client: service client (local or remote) to sweep through;
+            defaults to a transient serial, uncached in-process one.
+            Results are bit-identical for any client.
     """
     queries = [
         Query(
@@ -65,7 +60,7 @@ def run_rank_comparison(
         )
         for mode in RANK_MODES
     ]
-    with driver_client(client, runner) as service:
+    with driver_client(client) as service:
         report = service.sweep(queries, experiment="rank")
 
     rows = []

@@ -13,10 +13,9 @@ JEDEC extended-temperature refresh mode).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..retention import RetentionProfiler
-from ..runner import ExperimentRunner
 from ..service import Query, driver_client
 from ..technology import DEFAULT_GEOMETRY, DEFAULT_TECH, BankGeometry, TechnologyParams
 from .result import ExperimentResult
@@ -30,7 +29,6 @@ def run_temperature_study(
     geometry: BankGeometry = DEFAULT_GEOMETRY,
     temperatures: Sequence[float] = DEFAULT_TEMPERATURES,
     seed: int = RetentionProfiler.DEFAULT_SEED,
-    runner: Optional[ExperimentRunner] = None,
     client=None,
 ) -> ExperimentResult:
     """VRL deployment re-derived at each operating temperature.
@@ -41,10 +39,9 @@ def run_temperature_study(
         temperatures: operating points in degC (profiles are referenced
             at 45 degC).
         seed: profiling seed.
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one.
-        client: service client (local or remote) to sweep through
-            instead; results are bit-identical either way.
+        client: service client (local or remote) to sweep through;
+            defaults to a transient serial, uncached in-process one.
+            Results are bit-identical for any client.
     """
     queries = [
         Query(
@@ -57,7 +54,7 @@ def run_temperature_study(
         )
         for temperature in temperatures
     ]
-    with driver_client(client, runner) as service:
+    with driver_client(client) as service:
         report = service.sweep(queries, experiment="temperature")
 
     rows = []

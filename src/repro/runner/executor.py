@@ -34,10 +34,10 @@ Fault tolerance (see ``docs/architecture.md`` for the full semantics):
   the unfinished cells;
 * the :mod:`~repro.runner.faults` plan (``faults=`` argument or the
   ``VRL_DRAM_FAULTS`` env var) deterministically injects raise / hang /
-  kill faults — and the numeric chaos actions ``nan`` / ``diverge`` /
-  ``jitfail`` — into chosen cells for chaos testing.  Fault cell
-  indices count the *computed* cells (cache misses) in submission
-  order; ``*`` strikes every computed cell.
+  kill faults — and the numeric chaos actions ``nan`` / ``diverge`` —
+  into chosen cells for chaos testing.  Fault cell indices count the
+  *computed* cells (cache misses) in submission order; ``*`` strikes
+  every computed cell.
 
 Determinism: cells are self-contained recipes, so the payloads do not
 depend on ``jobs``, cache state, retries, or pool respawns; the
@@ -94,9 +94,8 @@ def _compute_timed(
     ``fault`` is the pre-resolved injection for this (cell, attempt) —
     shipped from the parent so chaos runs stay deterministic regardless
     of which worker picks the cell up.  Process-local chaos state
-    (armed NaN injections, forced jit failures) is always cleared on
-    the way out so a fault never leaks into the next cell this process
-    computes.
+    (armed NaN injections) is always cleared on the way out so a fault
+    never leaks into the next cell this process computes.
     """
     t0 = time.perf_counter()
     try:

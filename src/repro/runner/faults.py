@@ -7,7 +7,7 @@ exercised on demand.  This module injects faults at precisely chosen
 points of a sweep:
 
 * a :class:`FaultSpec` names an *action* (``raise``, ``hang``, ``kill``,
-  ``interrupt``, ``nan``, ``diverge``, ``jitfail``), the 0-based
+  ``interrupt``, ``nan``, ``diverge``), the 0-based
   sequence number of the **computed** cell it strikes (cache hits don't
   count — they never reach a worker; ``*`` strikes every cell), the
   attempt it fires on (default: only the first, so retries succeed),
@@ -17,8 +17,8 @@ points of a sweep:
   ``"raise@2"`` (third computed cell raises once),
   ``"kill@0,hang@3=120"`` (first cell's worker is SIGKILLed, fourth
   cell sleeps 120 s into the watchdog), ``"raise@1:*"`` (second cell
-  raises on *every* attempt, defeating retries), ``"jitfail@*"``
-  (every cell runs with jitted kernels forced to fail).
+  raises on *every* attempt, defeating retries), ``"nan@*"`` (every
+  cell's first guarded boundary crossing sees a NaN).
 
 Arming: pass a plan (or its string form) to ``ExperimentRunner(faults=
 ...)``, use the CLI's ``--chaos`` flag, or set the ``VRL_DRAM_FAULTS``
@@ -50,13 +50,9 @@ Actions executed in the worker (:func:`execute_fault`):
     run a genuinely unrescuable one-node circuit through the real
     transient solver, so the cell fails with an authentic
     :class:`~repro.circuit.rescue.ConvergenceError` carrying a full
-    :class:`~repro.circuit.rescue.ConvergenceReport`;
-``jitfail``
-    set :data:`~repro.sim._timeline_kernels.FORCE_JIT_FAILURE_ENV` for
-    the cell, making every jitted-kernel request fail — exercising the
-    numba -> numpy auto-downgrade ladder (then compute normally).
+    :class:`~repro.circuit.rescue.ConvergenceReport`.
 
-``nan``/``jitfail`` mutate process-local chaos state; the runner clears
+``nan`` mutates process-local chaos state; the runner clears
 it after every cell via :func:`clear_fault_state`, and
 :func:`ensure_faults_observed` turns a ``nan`` that no boundary ever
 consumed into a loud failure instead of silent state leakage.
@@ -71,13 +67,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from .. import guard
-from ..sim._timeline_kernels import FORCE_JIT_FAILURE_ENV
 
 #: Environment variable consulted by the runner when no plan is passed.
 FAULTS_ENV = "VRL_DRAM_FAULTS"
 
 #: Actions a fault spec may request.
-FAULT_ACTIONS = ("raise", "hang", "kill", "interrupt", "nan", "diverge", "jitfail")
+FAULT_ACTIONS = ("raise", "hang", "kill", "interrupt", "nan", "diverge")
 
 #: Default sleep for ``hang`` faults: long enough that only the
 #: watchdog ends it.
@@ -262,8 +257,8 @@ def execute_fault(spec: FaultSpec) -> None:
     """Act out ``spec`` inside the worker (called before the compute).
 
     ``hang`` returns after its sleep so the cell completes normally if
-    no watchdog reaps it first; ``nan`` and ``jitfail`` arm process
-    state and return so the *cell's own compute* trips over it; every
+    no watchdog reaps it first; ``nan`` arms process state and returns
+    so the *cell's own compute* trips over it; every
     other action does not return.
     """
     if spec.action == "raise":
@@ -282,8 +277,6 @@ def execute_fault(spec: FaultSpec) -> None:
         time.sleep(spec.seconds)
     if spec.action == "nan":
         guard.arm_nan_injection()
-    if spec.action == "jitfail":
-        os.environ[FORCE_JIT_FAILURE_ENV] = "1"
     if spec.action == "diverge":
         _diverge(spec)
 
@@ -291,11 +284,10 @@ def execute_fault(spec: FaultSpec) -> None:
 def clear_fault_state() -> None:
     """Reset process-local chaos state after a cell (idempotent).
 
-    ``nan`` and ``jitfail`` leave armed state behind by design (the
-    cell's compute consumes it); the runner calls this after every
-    attempt so a fault can never leak into the next cell.
+    ``nan`` leaves armed state behind by design (the cell's compute
+    consumes it); the runner calls this after every attempt so a fault
+    can never leak into the next cell.
     """
-    os.environ.pop(FORCE_JIT_FAILURE_ENV, None)
     guard.disarm_nan_injection()
 
 

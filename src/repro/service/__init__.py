@@ -35,7 +35,6 @@ from .client import (
     ServiceError,
     ServiceReport,
     driver_client,
-    ensure_client,
 )
 from .local import LocalService
 from .registry import (
@@ -73,7 +72,6 @@ __all__ = [
     "ServiceServer",
     "ServiceStats",
     "driver_client",
-    "ensure_client",
     "experiment_names",
     "experiment_options",
     "pick_free_port",

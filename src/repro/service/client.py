@@ -17,9 +17,8 @@ observability lines) are exactly what the drivers historically read
 off :class:`~repro.runner.executor.RunReport` — so a driver cannot
 tell, and must not care, which backend served it (invariant 13).
 
-``ensure_client`` is the drivers' entry: it normalizes the
-``client=`` / ``runner=`` keyword pair into a client, building a
-default in-process one when given neither.
+``driver_client`` is the drivers' entry: it passes a given client
+through and builds a transient in-process one otherwise.
 """
 
 from __future__ import annotations
@@ -343,34 +342,17 @@ class RemoteClient:
         self.close()
 
 
-def ensure_client(
-    client=None, runner: Optional[ExperimentRunner] = None
-):
-    """Normalize the drivers' ``client=`` / ``runner=`` pair.
-
-    Precedence: an explicit client wins; a bare runner is wrapped in a
-    private in-process service; neither builds a serial uncached
-    default.  (Passing both is a caller bug.)
-    """
-    if client is not None:
-        if runner is not None:
-            raise ValueError("pass either client= or runner=, not both")
-        return client
-    return LocalClient(runner=runner)
-
-
 @contextmanager
-def driver_client(
-    client=None, runner: Optional[ExperimentRunner] = None
-) -> Iterator[Any]:
+def driver_client(client=None) -> Iterator[Any]:
     """The sweep drivers' client scope.
 
-    Yields the given client untouched, or builds a transient in-process
-    one (around ``runner`` if provided) and closes it — and only it —
-    when the sweep is done.  Shared clients stay open for their owner.
+    Yields the given client untouched, or builds a transient serial,
+    uncached in-process one and closes it — and only it — when the
+    sweep is done.  Shared clients stay open for their owner.
     """
     owned = client is None
-    client = ensure_client(client, runner)
+    if owned:
+        client = LocalClient()
     try:
         yield client
     finally:

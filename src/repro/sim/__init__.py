@@ -14,14 +14,14 @@ bank" under each policy.  This package is that simulator:
   (staggered first deadlines, interval arithmetic, refresh-wins-ties
   arbitration, all-bank REF pacing) every simulator consumes;
 * :mod:`~repro.sim.engine` — the cycle-level trace-driven simulator;
-* :mod:`~repro.sim.fastpath` — an exact, bank-vectorized evaluator of
-  refresh overhead driving the policies' batch kernel, used for the
-  full Fig. 4 sweep (validated against the cycle-level engine in the
-  integration and differential tests);
-* :mod:`~repro.sim.timeline` — the fused ndarray timeline behind the
-  fastpath's default backend: all deadline crossings of a horizon
-  priced in one batched kernel call, zero Python-level loops, with an
-  auto-detected optional numba backend;
+* :mod:`~repro.sim.fastpath` — the exact refresh-overhead evaluator
+  used for the full Fig. 4 sweep: the fused timeline for every
+  built-in policy, the cycle-level engine for policies it cannot
+  represent (validated against the engine in the integration and
+  differential tests);
+* :mod:`~repro.sim.timeline` — the fused ndarray timeline: all
+  deadline crossings of a horizon priced in one batched numpy kernel
+  call, zero Python-level loops;
 * :mod:`~repro.sim.rank` — multi-bank rank simulation comparing JEDEC
   all-bank refresh against the per-bank row-targeted mode VRL needs;
 * :mod:`~repro.sim.stats` — result containers;
@@ -29,7 +29,6 @@ bank" under each policy.  This package is that simulator:
   Markov prediction of VRL-Access behaviour from window coverage.
 """
 
-from .backends import validate_backend
 from .bank import Bank
 from .engine import BankSimulator, SimulationResult
 from .fastpath import RefreshOverheadEvaluator
@@ -47,7 +46,6 @@ from .schedule import (
 )
 from .stats import RefreshStats, RequestStats
 from .timeline import (
-    NUMBA_AVAILABLE,
     FusedTimeline,
     TimelineReport,
     service_starts,
@@ -64,7 +62,6 @@ from .trace_stats import (
 from .trace import MemoryTrace, load_trace, merge_traces, save_trace
 
 __all__ = [
-    "validate_backend",
     "Bank",
     "BankSimulator",
     "SimulationResult",
@@ -82,7 +79,6 @@ __all__ = [
     "window_deadline_counts",
     "RefreshStats",
     "RequestStats",
-    "NUMBA_AVAILABLE",
     "FusedTimeline",
     "TimelineReport",
     "service_starts",

@@ -1,7 +1,6 @@
-"""Batch kernels of the fused timeline: numpy scatter ops + numba loops.
+"""Batch kernels of the fused timeline: vectorized numpy scatter ops.
 
-Two interchangeable implementations of the same two kernels, both
-operating on the closed-form automaton of
+Both kernels operate on the closed-form automaton of
 :class:`~repro.controller.refresh.TimelineSpec`:
 
 * :func:`segmented_fulls` — per-row full-refresh counts (and
@@ -12,89 +11,14 @@ operating on the closed-form automaton of
   ``(row, ordinal)`` crossing batches (the rank simulator needs the
   kind of every crossing, not just totals, to place busy intervals).
 
-The numba backend is auto-detected: when ``numba`` is importable the
-loop variants are ``@njit``-compiled, otherwise the *same* functions
-run as pure Python (so their logic is always testable) and the public
-entry points fall back to the vectorized numpy forms.  Backend choice
-never changes results — ``tests/test_timeline_fused.py`` pins the loop
-and numpy variants bit-identical on randomized inputs.
+``tests/oracles.py`` keeps plain-loop forms of both kernels;
+``tests/test_timeline_fused.py`` pins them bit-identical on randomized
+inputs and against a brute-force walk of Algorithm 1's counter.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - the default in slim images
-    njit = None
-    NUMBA_AVAILABLE = False
-
-#: Environment variable that makes every jitted-kernel request fail.
-#: Set by the runner's ``jitfail`` chaos action to exercise the
-#: numba -> numpy auto-downgrade ladder deterministically (a real numba
-#: miscompile cannot be provoked on demand, and slim images have no
-#: numba at all).
-FORCE_JIT_FAILURE_ENV = "VRL_DRAM_FORCE_JIT_FAILURE"
-
-
-def jit_failure_forced() -> bool:
-    """Whether the chaos harness is forcing jitted kernels to fail."""
-    return os.environ.get(FORCE_JIT_FAILURE_ENV, "") not in ("", "0")
-
-
-def _segmented_fulls_loop(counts, phase, cycle_len, reset_rows, reset_ordinals,
-                          fulls, final_phase):
-    """Loop form of the segment arithmetic (numba-compilable).
-
-    ``fulls`` / ``final_phase`` arrive prefilled with the reset-free
-    closed form; rows that appear in ``reset_rows`` (sorted by row,
-    then ordinal) are recomputed segment by segment.  A reset at
-    ordinal ``k`` restarts the cadence *before* the ``k``-th crossing's
-    decision, exactly like the round walk's access-then-decide order.
-    """
-    i = 0
-    n = reset_rows.shape[0]
-    while i < n:
-        row = reset_rows[i]
-        m1 = cycle_len[row]
-        start = phase[row]
-        prev = 0
-        full_count = 0
-        while i < n and reset_rows[i] == row:
-            ordinal = reset_ordinals[i]
-            full_count += (ordinal - prev + start) // m1
-            start = 0
-            prev = ordinal
-            i += 1
-        tail = counts[row] - prev
-        full_count += tail // m1
-        fulls[row] = full_count
-        final_phase[row] = tail % m1
-    return fulls, final_phase
-
-
-def _crossing_kinds_loop(rows, ordinals, phase, cycle_len, kinds):
-    """Loop form of the per-crossing kind evaluation (numba-compilable)."""
-    for i in range(rows.shape[0]):
-        row = rows[i]
-        if (ordinals[i] + phase[row] + 1) % cycle_len[row] == 0:
-            kinds[i] = 0
-        else:
-            kinds[i] = 1
-    return kinds
-
-
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
-    _segmented_fulls_jit = njit(cache=True)(_segmented_fulls_loop)
-    _crossing_kinds_jit = njit(cache=True)(_crossing_kinds_loop)
-else:
-    _segmented_fulls_jit = _segmented_fulls_loop
-    _crossing_kinds_jit = _crossing_kinds_loop
 
 
 def _closed_form(counts, phase, cycle_len):
@@ -115,7 +39,6 @@ def segmented_fulls(
     cycle_len: np.ndarray,
     reset_rows: np.ndarray,
     reset_ordinals: np.ndarray,
-    use_numba: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row full-refresh counts over a whole timeline window.
 
@@ -127,23 +50,14 @@ def segmented_fulls(
             ``(row, ordinal)`` and unique; empty for reset-free runs.
         reset_ordinals: matching window-relative crossing ordinals in
             ``[0, counts[row])``.
-        use_numba: run the jitted loop kernel (falls back to the pure
-            numpy scatter form when numba is unavailable).
 
     Returns:
         ``(fulls, final_phase)`` — ``int64 (n_rows,)`` arrays; partials
         are ``counts - fulls``.
     """
-    if use_numba and jit_failure_forced():
-        raise RuntimeError(f"injected jit failure ({FORCE_JIT_FAILURE_ENV} is set)")
     fulls, final_phase = _closed_form(counts, phase, cycle_len)
     if len(reset_rows) == 0:
         return fulls, final_phase
-    if use_numba and NUMBA_AVAILABLE:  # pragma: no cover - numba-only images
-        return _segmented_fulls_jit(
-            counts, phase, cycle_len, reset_rows, reset_ordinals, fulls, final_phase
-        )
-
     # Vectorized segment arithmetic.  Entry i closes the segment that
     # ends at its reset: length ordinal_i - prev_boundary, starting at
     # the row's entry phase for the first reset of the row and at 0
@@ -178,7 +92,6 @@ def crossing_kinds(
     ordinals: np.ndarray,
     phase: np.ndarray,
     cycle_len: np.ndarray,
-    use_numba: bool = False,
 ) -> np.ndarray:
     """Kind code of every crossing in a flattened reset-free batch.
 
@@ -187,17 +100,12 @@ def crossing_kinds(
         ordinals: per-row crossing ordinals matching ``rows``.
         phase: per-row cadence phase at batch entry.
         cycle_len: per-row cadence.
-        use_numba: run the jitted loop kernel when numba is available.
 
     Returns:
         ``uint8`` kind codes (``KIND_FULL`` = 0 / ``KIND_PARTIAL`` = 1):
         crossing ``k`` of a row is full iff
         ``(k + phase) % cycle_len == cycle_len - 1``.
     """
-    if use_numba and jit_failure_forced():
-        raise RuntimeError(f"injected jit failure ({FORCE_JIT_FAILURE_ENV} is set)")
     kinds = np.empty(len(rows), dtype=np.uint8)
-    if use_numba and NUMBA_AVAILABLE:  # pragma: no cover - numba-only images
-        return _crossing_kinds_jit(rows, ordinals, phase, cycle_len, kinds)
     np.not_equal((ordinals + phase[rows] + 1) % cycle_len[rows], 0, out=kinds.view(bool))
     return kinds

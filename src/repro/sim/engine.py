@@ -10,7 +10,9 @@ queue FCFS behind whatever the bank is doing.
 This engine is the ground truth: it models queueing, row-buffer
 interference, and refresh stalls.  The :mod:`~repro.sim.fastpath`
 evaluator reproduces exactly its refresh accounting (asserted by the
-integration tests) and is what the full Fig. 4 sweep uses.  Deadline
+integration tests) and is what the full Fig. 4 sweep uses; for
+policies the fused timeline cannot represent, the evaluator runs this
+engine.  Deadline
 placement and refresh-vs-request arbitration come from
 :mod:`~repro.sim.schedule`, the semantics shared with the fastpath and
 the rank simulator.
@@ -114,22 +116,21 @@ class BankSimulator:
         self,
         duration_cycles: int,
         trace: Optional[MemoryTrace] = None,
-        backend: str = "auto",
     ) -> RefreshStats:
         """Refresh accounting only, via the fused timeline.
 
         Bit-identical to ``run(...).refresh`` (invariant 11) at a small
         fraction of the cost: callers that need only the Fig. 4 metric —
         not queueing or row-buffer behaviour — get the fused path
-        without leaving the engine's API.  ``backend`` follows
-        :class:`~repro.sim.fastpath.RefreshOverheadEvaluator`;
-        ``"auto"`` falls back to the round walk for policies the closed
-        form cannot represent.
+        without leaving the engine's API.  Policies the closed form
+        cannot represent are priced by :meth:`run` itself (see
+        :class:`~repro.sim.fastpath.RefreshOverheadEvaluator`).
         """
         from .fastpath import RefreshOverheadEvaluator
 
-        evaluator = RefreshOverheadEvaluator(self.policy, self.timing, backend=backend)
-        return evaluator.evaluate(duration_cycles, trace)
+        return RefreshOverheadEvaluator(self.policy, self.timing).evaluate(
+            duration_cycles, trace
+        )
 
     def run(
         self,

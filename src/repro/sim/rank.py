@@ -32,7 +32,6 @@ from ..controller.refresh import RefreshPolicy
 from ..guard import NumericalError
 from ..technology import BankGeometry, DEFAULT_GEOMETRY
 from ._timeline_kernels import crossing_kinds
-from .backends import validate_backend
 from .bank import Bank
 from .schedule import (
     ALL_BANK_ROWS_PER_REF,
@@ -223,7 +222,10 @@ class RankSimulator:
                 failure falls back to the event loop with the downgrade
                 recorded on the result.
         """
-        validate_backend(backend, RANK_BACKENDS)
+        if backend not in RANK_BACKENDS:
+            raise ValueError(
+                f"backend must be one of {RANK_BACKENDS}, got {backend!r}"
+            )
         if duration_cycles is None:
             if trace is None or len(trace) == 0:
                 raise ValueError("need a trace or an explicit duration")

@@ -1,9 +1,8 @@
 """Fused ndarray timeline: zero-Python-loop refresh evaluation.
 
-The PR 3 fastpath walks scheduling *rounds* — a Python ``for`` over
-``max_rounds`` with one ``decide`` call per round — and that loop is
-the dominant cost of the Fig. 4/5 sweeps.  This module removes it.
-The observation: every built-in policy's per-row decision sequence is
+Walking scheduling *rounds* — a Python ``for`` over ``max_rounds`` with
+one ``decide`` call per round — would dominate the Fig. 4/5 sweeps.
+This module has no such loop.  The observation: every built-in policy's per-row decision sequence is
 a modular counter (see
 :class:`~repro.controller.refresh.TimelineSpec`), so the *entire*
 timeline of deadline crossings can be evaluated at once:
@@ -16,20 +15,19 @@ timeline of deadline crossings can be evaluated at once:
    :func:`~repro.sim.schedule.window_deadline_counts`, and access-driven
    cadence resets as one vectorized pass over the whole trace (interval
    index per access in O(n_accesses), no per-row Python);
-3. **evaluate** — one batched kernel call
+3. **evaluate** — one batched numpy kernel call
    (:func:`~repro.sim._timeline_kernels.segmented_fulls`) yields every
    row's full/partial split and end-of-timeline counter phase;
    statistics reduce with scatter/sum ops.
 
-Results are bit-identical to the cycle-level engine and the round-walk
-fastpath (invariant 11; three-way differential harness in
+Results are bit-identical to the cycle-level engine and to the
+round-walk oracle kept in ``tests/oracles.py`` (invariant 11;
+three-way differential harness in
 ``tests/test_differential_engine_fastpath.py``).  Policies whose
 customization the closed form cannot represent report
-``supports_fused_timeline() == False`` and every consumer falls back
-to the round walk — never silently unsupported.
-
-An optional numba backend jit-compiles the same kernels; it is
-auto-detected and falls back to pure numpy.
+``supports_fused_timeline() == False``; this class refuses them and
+:class:`~repro.sim.fastpath.RefreshOverheadEvaluator` prices them on
+the cycle-level engine instead — never silently unsupported.
 """
 
 from __future__ import annotations
@@ -40,14 +38,8 @@ from typing import Optional
 import numpy as np
 
 from ..controller.refresh import RefreshPolicy
-from ..guard import NumericalError, assert_finite
-from ._timeline_kernels import (
-    FORCE_JIT_FAILURE_ENV,
-    NUMBA_AVAILABLE,
-    jit_failure_forced,
-    segmented_fulls,
-)
-from .backends import validate_backend
+from ..guard import assert_finite
+from ._timeline_kernels import segmented_fulls
 from .schedule import (
     deadline_counts,
     first_deadlines,
@@ -59,15 +51,11 @@ from .timing import DRAMTiming
 from .trace import MemoryTrace
 
 __all__ = [
-    "NUMBA_AVAILABLE",
     "FusedTimeline",
     "TimelineReport",
     "service_starts",
     "union_length",
 ]
-
-#: Valid kernel backends of the fused timeline.
-BACKENDS = ("auto", "numpy", "numba")
 
 
 @dataclass(frozen=True)
@@ -79,20 +67,11 @@ class TimelineReport:
             benchmarks report as rows·intervals).
         resets: access-driven cadence restarts applied.
         epochs: timeline windows the horizon was split into.
-        backend: kernel backend that ran (``"numpy"`` or ``"numba"``).
-        downgraded_from: backend originally selected when an automatic
-            downgrade occurred (e.g. ``"numba"`` after a jit failure),
-            else ``None``.
-        downgrade_reason: one-line cause of the downgrade (empty when
-            no downgrade occurred).
     """
 
     crossings: int
     resets: int
     epochs: int
-    backend: str
-    downgraded_from: Optional[str] = None
-    downgrade_reason: str = ""
 
 
 class FusedTimeline:
@@ -107,12 +86,9 @@ class FusedTimeline:
     Args:
         policy: refresh policy; must satisfy
             :meth:`~repro.controller.refresh.RefreshPolicy.supports_fused_timeline`
-            (callers wanting automatic fallback use
-            :class:`~repro.sim.fastpath.RefreshOverheadEvaluator` with
-            ``backend="auto"``).
+            (callers that must price any policy use
+            :class:`~repro.sim.fastpath.RefreshOverheadEvaluator`).
         timing: command timings (cycle clock and deadline quantization).
-        backend: ``"auto"`` (numba when installed, else numpy),
-            ``"numpy"``, or ``"numba"`` (raises if numba is missing).
         epoch_cycles: split horizons into windows of this many cycles;
             ``None`` evaluates the whole horizon as one epoch.  Epoch
             splitting bounds the working set for very long horizons and
@@ -124,33 +100,19 @@ class FusedTimeline:
         self,
         policy: RefreshPolicy,
         timing: DRAMTiming,
-        backend: str = "auto",
         epoch_cycles: Optional[int] = None,
     ):
         if not policy.supports_fused_timeline():
             raise ValueError(
                 f"policy {policy.name!r} customizes the decision surface without a "
-                "matching timeline_spec; use the round-walk evaluator "
-                "(RefreshOverheadEvaluator backend='auto' falls back automatically)"
+                "matching timeline_spec; price it with RefreshOverheadEvaluator, "
+                "which runs such policies on the cycle-level engine"
             )
-        validate_backend(backend, BACKENDS)
         if epoch_cycles is not None and epoch_cycles <= 0:
             raise ValueError(f"epoch_cycles must be positive, got {epoch_cycles}")
         self.policy = policy
         self.timing = timing
         self.epoch_cycles = epoch_cycles
-        self._strict = backend != "auto"
-        self._use_numba = NUMBA_AVAILABLE if backend == "auto" else backend == "numba"
-        self.backend = "numba" if self._use_numba else "numpy"
-        self.downgraded_from: Optional[str] = None
-        self.downgrade_reason: str = ""
-        if backend == "auto" and not NUMBA_AVAILABLE and jit_failure_forced():
-            # No jitted kernel exists to fail at runtime on this image;
-            # the chaos harness still wants the downgrade telemetry path
-            # exercised, so record the numba -> numpy downgrade up front.
-            self._note_downgrade(
-                "numba", f"injected jit failure ({FORCE_JIT_FAILURE_ENV} is set)"
-            )
         self._periods = period_cycles(policy, timing)
         self._first = first_deadlines(self._periods)
         self._counts_cache: tuple[int, np.ndarray] = (-1, np.empty(0, dtype=np.int64))
@@ -174,8 +136,8 @@ class FusedTimeline:
         access *on* a deadline affects the next interval): ordinal 0
         for ``c < first``, else ``(c - first) // period + 1``.  Ordinals
         at or past the row's crossing count (accesses beyond the
-        horizon) are inert.  One vectorized pass over the whole trace —
-        the round walk's per-accessed-row Python loop is gone too.
+        horizon) are inert.  One vectorized pass over the whole trace,
+        with no per-row Python loop.
         """
         empty = np.empty(0, dtype=np.int64)
         if trace is None or len(trace) == 0:
@@ -202,13 +164,6 @@ class FusedTimeline:
         fresh[1:] = (rows[1:] != rows[:-1]) | (ordinals[1:] != ordinals[:-1])
         return rows[fresh], ordinals[fresh]
 
-    def _note_downgrade(self, came_from: str, reason: str) -> None:
-        """Record a backend downgrade and switch to the numpy kernels."""
-        self.downgraded_from = came_from
-        self.downgrade_reason = reason
-        self._use_numba = False
-        self.backend = "numpy"
-
     def evaluate(
         self,
         duration_cycles: int,
@@ -218,12 +173,8 @@ class FusedTimeline:
 
         Same contract (and bit-identical results) as
         :meth:`repro.sim.fastpath.RefreshOverheadEvaluator.evaluate`
-        and the cycle-level engine's refresh accounting.
-
-        On ``backend="auto"``, a jitted-kernel failure downgrades the
-        evaluator to the numpy kernels and replays the evaluation —
-        bit-identical by invariant 11 — with the downgrade recorded in
-        :attr:`last_report`.  Forced backends stay strict and raise.
+        and the cycle-level engine's refresh accounting.  Failures
+        propagate; the evaluator owns the fallback to the engine.
 
         Args:
             duration_cycles: simulation horizon; refreshes due at or
@@ -231,24 +182,6 @@ class FusedTimeline:
             trace: demand accesses (only their (row, cycle) structure
                 matters, and only for access-coupled policies).
         """
-        try:
-            return self._evaluate_once(duration_cycles, trace)
-        except (ValueError, NumericalError):
-            raise
-        except Exception as exc:
-            if self._strict or not self._use_numba:
-                raise
-            self._note_downgrade(self.backend, f"{type(exc).__name__}: {exc}")
-            # Replay is safe: the failed attempt mutated only local
-            # state (policy.reset() reruns, commit had not happened).
-            return self._evaluate_once(duration_cycles, trace)
-
-    def _evaluate_once(
-        self,
-        duration_cycles: int,
-        trace: Optional[MemoryTrace] = None,
-    ) -> RefreshStats:
-        """One evaluation on the currently-selected kernel backend."""
         if duration_cycles <= 0:
             raise ValueError(f"duration must be positive, got {duration_cycles}")
         self.policy.reset()
@@ -257,11 +190,7 @@ class FusedTimeline:
         counts = self._counts(duration_cycles)
         total_crossings = int(counts.sum())
         if total_crossings == 0:
-            self.last_report = TimelineReport(
-                0, 0, 1, self.backend,
-                downgraded_from=self.downgraded_from,
-                downgrade_reason=self.downgrade_reason,
-            )
+            self.last_report = TimelineReport(0, 0, 1)
             return stats
 
         if spec.resets_on_access:
@@ -282,7 +211,6 @@ class FusedTimeline:
                 spec.cycle_len,
                 epoch_rows,
                 epoch_ordinals,
-                use_numba=self._use_numba,
             )
             total_fulls += int(fulls.sum())
         spec.commit(phase)
@@ -298,9 +226,6 @@ class FusedTimeline:
             crossings=total_crossings,
             resets=int(len(reset_rows)),
             epochs=epochs,
-            backend=self.backend,
-            downgraded_from=self.downgraded_from,
-            downgrade_reason=self.downgrade_reason,
         )
         return stats
 

@@ -11,9 +11,9 @@ Review the resulting ``git diff`` before committing.
 from pathlib import Path
 import sys
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
-from test_golden_regression import (  # noqa: E402
+from tests.test_golden_regression import (  # noqa: E402
     FIG4_RECIPE,
     GOLDEN_DIR,
     TABLE1_COLUMNS,

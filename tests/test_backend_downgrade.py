@@ -1,26 +1,34 @@
-"""Backend cross-check and auto-downgrade tests.
+"""Fault containment on the fused paths: strict kernels, engine fallback.
 
-The sim layer's backend ladders (timeline numba -> numpy, evaluator
-fused -> loop, rank fused -> event loop) must degrade automatically
-under ``backend="auto"`` — bit-identically, with the downgrade recorded
-in telemetry — while forced backends stay strict and raise.  The forced
-jit-failure hook (``VRL_DRAM_FORCE_JIT_FAILURE``, the runner's
-``jitfail`` chaos action) makes the numba rung fail deterministically
-even on images where numba cannot be installed.
+The fused timeline itself is strict: any failure propagates.  Its two
+consumers contain unexpected failures (anything but input validation
+or a finite-value guard) by replaying on their cycle-level loop,
+bit-identically, with the downgrade recorded in telemetry:
+
+* :class:`RefreshOverheadEvaluator` replays on the engine and records
+  ``{"from": "fused", "to": "engine", ...}`` in ``downgrades``;
+* :meth:`RankSimulator.run` under ``backend="auto"`` replays on the
+  event loop and stamps ``downgraded_from`` on the result, while
+  ``backend="fused"`` stays strict.
+
+Failures are injected by monkeypatching the fused kernels in the test.
 """
 
+import numpy as np
 import pytest
 
 from repro.controller import build_policy
+from repro.guard import NumericalError
 from repro.retention import RefreshBinning, RetentionProfiler
 from repro.sim import (
+    BankSimulator,
     DRAMTiming,
     FusedTimeline,
+    MemoryTrace,
     RankSimulator,
     RefreshOverheadEvaluator,
-    validate_backend,
 )
-from repro.sim._timeline_kernels import FORCE_JIT_FAILURE_ENV, NUMBA_AVAILABLE
+from repro.sim import timeline as timeline_module
 from repro.technology import BankGeometry, DEFAULT_TECH
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
@@ -28,182 +36,79 @@ GEOMETRY = BankGeometry(64, 8)
 DURATION = 400_000
 
 
-def _policy(seed=5):
+def _policy(seed=5, name="vrl"):
     profile = RetentionProfiler(seed=seed).profile(GEOMETRY)
     binning = RefreshBinning().assign(profile)
-    return build_policy("vrl", DEFAULT_TECH, profile, binning)
+    return build_policy(name, DEFAULT_TECH, profile, binning)
 
 
 def _stats_key(stats):
     return (stats.full_refreshes, stats.partial_refreshes, stats.refresh_cycles)
 
 
+def _exploding_kernel(*args, **kwargs):
+    raise RuntimeError("kernel exploded")
+
+
 class TestValidateBackend:
     def test_unknown_backend_is_a_one_line_value_error(self):
-        with pytest.raises(ValueError, match="backend must be one of"):
-            validate_backend("gpu", ("auto", "numpy"))
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba installed")
-    def test_numba_without_numba_names_the_missing_dependency(self):
-        with pytest.raises(ValueError, match="numba is not installed"):
-            validate_backend("numba", ("auto", "numba"))
-
-    def test_valid_backend_is_returned_unchanged(self):
-        assert validate_backend("auto", ("auto", "loop")) == "auto"
+        sim = RankSimulator([_policy()], TIMING, GEOMETRY)
+        with pytest.raises(ValueError, match="backend must be one of") as info:
+            sim.run(duration_cycles=DURATION, backend="gpu")
+        assert "\n" not in str(info.value)
 
 
 class TestTimelineDowngrade:
-    def test_forced_jit_failure_downgrades_auto_bit_identically(self, monkeypatch):
-        clean = FusedTimeline(_policy(), TIMING).evaluate(DURATION)
-
-        monkeypatch.setenv(FORCE_JIT_FAILURE_ENV, "1")
-        timeline = FusedTimeline(_policy(), TIMING, backend="auto")
-        if not NUMBA_AVAILABLE:
-            # No jitted kernel exists to fail at runtime; the downgrade
-            # is recorded at construction so chaos telemetry still flows.
-            assert timeline.downgraded_from == "numba"
-        else:
-            timeline._use_numba = True  # ensure the runtime rung is hit
-        stats = timeline.evaluate(DURATION)
-        assert _stats_key(stats) == _stats_key(clean)
-        assert timeline.backend == "numpy"
-        assert timeline.downgraded_from is not None
-        assert timeline.downgrade_reason
-        report = timeline.last_report
-        assert report.downgraded_from == timeline.downgraded_from
-        assert report.downgrade_reason == timeline.downgrade_reason
-
-    def test_runtime_kernel_failure_replays_on_numpy(self, monkeypatch):
-        clean = FusedTimeline(_policy(), TIMING).evaluate(DURATION)
-        timeline = FusedTimeline(_policy(), TIMING, backend="auto")
-        # Simulate a numba image whose jitted kernel dies mid-call.
-        timeline._use_numba = True
-        timeline.backend = "numba"
-        monkeypatch.setenv(FORCE_JIT_FAILURE_ENV, "1")
-        stats = timeline.evaluate(DURATION)
-        assert _stats_key(stats) == _stats_key(clean)
-        assert timeline.downgraded_from == "numba"
-        assert "injected jit failure" in timeline.downgrade_reason
-
     def test_forced_backend_stays_strict(self, monkeypatch):
-        timeline = FusedTimeline(_policy(), TIMING, backend="numpy")
-        timeline._use_numba = True  # a strict backend never downgrades
-        monkeypatch.setenv(FORCE_JIT_FAILURE_ENV, "1")
-        with pytest.raises(RuntimeError, match="injected jit failure"):
+        """The fused timeline has no fallback of its own: it raises."""
+        timeline = FusedTimeline(_policy(), TIMING)
+        monkeypatch.setattr(timeline_module, "segmented_fulls", _exploding_kernel)
+        with pytest.raises(RuntimeError, match="kernel exploded"):
             timeline.evaluate(DURATION)
 
     def test_input_validation_is_never_swallowed_as_a_downgrade(self):
-        timeline = FusedTimeline(_policy(), TIMING, backend="auto")
         with pytest.raises(ValueError, match="duration must be positive"):
-            timeline.evaluate(0)
-        assert timeline.downgraded_from is None
+            FusedTimeline(_policy(), TIMING).evaluate(0)
+        evaluator = RefreshOverheadEvaluator(_policy(), TIMING)
+        with pytest.raises(ValueError, match="duration must be positive"):
+            evaluator.evaluate(0)
+        assert evaluator.downgrades == []
+        assert evaluator.timeline is not None
 
 
 class TestEvaluatorDowngrade:
-    def test_fused_failure_downgrades_auto_to_loop(self, monkeypatch):
-        evaluator = RefreshOverheadEvaluator(_policy(), TIMING, backend="auto")
-        oracle = RefreshOverheadEvaluator(
-            _policy(), TIMING, backend="loop"
-        ).evaluate(DURATION)
-
-        def boom(duration_cycles, trace=None):
-            raise RuntimeError("kernel exploded")
-
-        monkeypatch.setattr(evaluator.timeline, "evaluate", boom)
-        stats = evaluator.evaluate(DURATION)
-        assert _stats_key(stats) == _stats_key(oracle)
-        assert evaluator.backend == "loop"
+    def test_fused_failure_downgrades_to_engine(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        trace = MemoryTrace(
+            np.sort(rng.integers(0, DURATION, 300)).astype(np.int64),
+            rng.integers(0, GEOMETRY.rows, 300).astype(np.int64),
+            rng.random(300) < 0.5,
+            name="downgrade",
+        )
+        engine = BankSimulator(_policy(name="vrl-access"), TIMING).run(
+            trace, DURATION
+        ).refresh
+        evaluator = RefreshOverheadEvaluator(_policy(name="vrl-access"), TIMING)
+        monkeypatch.setattr(timeline_module, "segmented_fulls", _exploding_kernel)
+        stats = evaluator.evaluate(DURATION, trace)
+        assert _stats_key(stats) == _stats_key(engine)
         assert evaluator.timeline is None
         assert evaluator.downgrades == [
-            {"from": "fused", "to": "loop", "reason": "RuntimeError: kernel exploded"}
+            {"from": "fused", "to": "engine", "reason": "RuntimeError: kernel exploded"}
         ]
-        # Subsequent evaluations stay on the loop oracle.
-        assert _stats_key(evaluator.evaluate(DURATION)) == _stats_key(oracle)
-
-    def test_forced_fused_backend_stays_strict(self, monkeypatch):
-        evaluator = RefreshOverheadEvaluator(_policy(), TIMING, backend="fused")
-
-        def boom(duration_cycles, trace=None):
-            raise RuntimeError("kernel exploded")
-
-        monkeypatch.setattr(evaluator.timeline, "evaluate", boom)
-        with pytest.raises(RuntimeError, match="kernel exploded"):
-            evaluator.evaluate(DURATION)
-        assert evaluator.downgrades == []
-
-    def test_shadow_verify_agreement_keeps_the_fused_path(self):
-        evaluator = RefreshOverheadEvaluator(
-            _policy(), TIMING, backend="auto", shadow_verify=1
-        )
-        oracle = RefreshOverheadEvaluator(
-            _policy(), TIMING, backend="loop"
-        ).evaluate(DURATION)
-        stats = evaluator.evaluate(DURATION)
-        assert _stats_key(stats) == _stats_key(oracle)
-        assert evaluator.backend != "loop"
-        assert evaluator.downgrades == []
-
-    def test_shadow_verify_disagreement_downgrades_and_returns_oracle(
-        self, monkeypatch
-    ):
-        evaluator = RefreshOverheadEvaluator(
-            _policy(), TIMING, backend="auto", shadow_verify=1
-        )
-        oracle = RefreshOverheadEvaluator(
-            _policy(), TIMING, backend="loop"
-        ).evaluate(DURATION)
-        honest = evaluator.timeline.evaluate
-
-        def corrupted(duration_cycles, trace=None):
-            stats = honest(duration_cycles, trace)
-            stats.refresh_cycles += 1  # a silent miscompile
-            return stats
-
-        monkeypatch.setattr(evaluator.timeline, "evaluate", corrupted)
-        stats = evaluator.evaluate(DURATION)
-        assert _stats_key(stats) == _stats_key(oracle)
-        assert evaluator.backend == "loop"
+        # Subsequent evaluations stay on the engine, without new records.
+        assert _stats_key(evaluator.evaluate(DURATION, trace)) == _stats_key(engine)
         assert len(evaluator.downgrades) == 1
-        assert "shadow verify disagreement" in evaluator.downgrades[0]["reason"]
 
-    def test_shadow_verify_sampling_cadence(self, monkeypatch):
-        evaluator = RefreshOverheadEvaluator(
-            _policy(), TIMING, backend="auto", shadow_verify=3
-        )
-        verified = []
-        honest_loop = evaluator._evaluate_loop
+    def test_guard_errors_are_not_downgrades(self, monkeypatch):
+        def poisoned(*args, **kwargs):
+            raise NumericalError("injected", boundary="test", injected=True)
 
-        def counting_loop(duration_cycles, trace=None):
-            verified.append(duration_cycles)
-            return honest_loop(duration_cycles, trace)
-
-        monkeypatch.setattr(evaluator, "_evaluate_loop", counting_loop)
-        for _ in range(6):
+        evaluator = RefreshOverheadEvaluator(_policy(), TIMING)
+        monkeypatch.setattr(timeline_module, "segmented_fulls", poisoned)
+        with pytest.raises(NumericalError):
             evaluator.evaluate(DURATION)
-        # Evaluations 1 (first), 3, and 6 are verified.
-        assert len(verified) == 3
         assert evaluator.downgrades == []
-
-    def test_negative_shadow_verify_rejected(self):
-        with pytest.raises(ValueError, match="shadow_verify"):
-            RefreshOverheadEvaluator(_policy(), TIMING, shadow_verify=-1)
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba installed")
-    def test_jitfail_surfaces_the_timeline_downgrade(self, monkeypatch):
-        monkeypatch.setenv(FORCE_JIT_FAILURE_ENV, "1")
-        evaluator = RefreshOverheadEvaluator(_policy(), TIMING, backend="auto")
-        clean = RefreshOverheadEvaluator(_policy(), TIMING).evaluate(DURATION)
-        stats = evaluator.evaluate(DURATION)
-        assert _stats_key(stats) == _stats_key(clean)
-        assert evaluator.downgrades == [
-            {
-                "from": "numba",
-                "to": "numpy",
-                "reason": f"injected jit failure ({FORCE_JIT_FAILURE_ENV} is set)",
-            }
-        ]
-        # The evaluator itself stays on the (numpy) fused path.
-        assert evaluator.backend != "loop"
 
 
 class TestRankDowngrade:

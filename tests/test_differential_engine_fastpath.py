@@ -15,11 +15,11 @@ orderings called out in the fastpath's contract:
   simulation horizon must not change refresh accounting.
 
 Every case asserts the three refresh statistics are bit-identical
-across *all* evaluation strategies (invariant 11): the cycle-level
-:class:`BankSimulator`, the PR 3 round walk
-(``backend="loop"``), the fused timeline (``backend="fused"``), and —
-when numba is installed — the jitted fused kernels
-(``backend="numba"``).  Failure messages carry the case's seeds so any
+across all three evaluation strategies (invariant 11): the cycle-level
+:class:`BankSimulator`, the round-walk oracle
+(:func:`tests.oracles.round_walk`), and
+:class:`RefreshOverheadEvaluator`, which runs the fused timeline for
+every policy here.  Failure messages carry the case's seeds so any
 discrepancy reproduces from the log alone.
 """
 
@@ -29,7 +29,6 @@ import pytest
 from repro.controller import build_policy
 from repro.retention import RefreshBinning, RetentionProfiler, TemperatureModel
 from repro.sim import (
-    NUMBA_AVAILABLE,
     BankSimulator,
     DRAMTiming,
     MemoryTrace,
@@ -38,14 +37,11 @@ from repro.sim import (
 )
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
+from tests.oracles import round_walk
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
 
 POLICY_NAMES = ("fixed", "raidr", "vrl", "vrl-access")
-
-#: Every evaluator strategy differentially pinned against the engine.
-BACKENDS = ("loop", "fused") + (("numba",) if NUMBA_AVAILABLE else ())
-
 
 def _policy(name, geometry, profile_seed, nbits=2, temperature=None):
     profile = RetentionProfiler(seed=profile_seed).profile(geometry)
@@ -71,7 +67,7 @@ def _trace_from_events(cycles, rows, seed):
 
 
 def _assert_equivalent(policy, trace, duration_cycles, context=""):
-    """Pin every evaluator backend bit-identical to the engine.
+    """Pin the round walk and the fused evaluator bit-identical to the engine.
 
     ``context`` (seeds, temperatures, geometry) is embedded in the
     failure message so a red case reproduces from the log alone.
@@ -84,13 +80,16 @@ def _assert_equivalent(policy, trace, duration_cycles, context=""):
         engine.refresh.partial_refreshes,
         engine.refresh.refresh_cycles,
     )
-    for backend in BACKENDS:
-        fast = RefreshOverheadEvaluator(policy, TIMING, backend=backend).evaluate(
-            duration_cycles, trace
-        )
+    evaluator = RefreshOverheadEvaluator(policy, TIMING)
+    assert evaluator.timeline is not None, "expected the fused path"
+    for label, evaluate in (
+        ("round walk", lambda: round_walk(policy, TIMING, duration_cycles, trace)),
+        ("fused", lambda: evaluator.evaluate(duration_cycles, trace)),
+    ):
+        fast = evaluate()
         got = (fast.full_refreshes, fast.partial_refreshes, fast.refresh_cycles)
         assert got == want, (
-            f"backend={backend!r} diverged from engine: "
+            f"{label} diverged from engine: "
             f"(full, partial, cycles) {got} != {want} "
             f"[policy={policy.name!r} rows={policy.n_rows} "
             f"duration={duration_cycles} {context}]"
@@ -133,7 +132,7 @@ class TestRandomizedDifferential:
     @pytest.mark.parametrize("case_seed", range(4))
     def test_random_temperature(self, case_seed):
         """Temperature-scaled retention profiles shift every period bin;
-        the quantized schedules must still agree across all backends."""
+        the quantized schedules must still agree across all strategies."""
         rng = np.random.default_rng(3000 + case_seed)
         geometry = BankGeometry(int(rng.integers(16, 97)), 8)
         temperature = float(rng.uniform(30.0, 70.0))
@@ -191,6 +190,26 @@ class TestRandomizedDifferential:
             policy, trace, duration_cycles,
             context=f"policy={policy_name} nbits={nbits}",
         )
+
+
+#: Every mechanism registered by the library itself.
+BUILTIN_MECHANISMS = (
+    "fixed", "fgr-2x", "fgr-4x", "raidr", "vrl", "vrl-access",
+    "darp", "chargecache", "avatar",
+)
+
+
+@pytest.mark.parametrize("name", BUILTIN_MECHANISMS)
+def test_every_builtin_mechanism_is_fused_and_exact(name):
+    """Every built-in mechanism takes the fused path, priced exactly."""
+    rng = np.random.default_rng(5000)
+    geometry = BankGeometry(48, 8)
+    policy = _policy(name, geometry, profile_seed=17)
+    duration_cycles = TIMING.cycles(700 * MS)
+    cycles = rng.integers(0, duration_cycles, size=1200)
+    rows = rng.integers(0, geometry.rows, size=1200)
+    trace = _trace_from_events(cycles, rows, seed=12)
+    _assert_equivalent(policy, trace, duration_cycles, context=f"mechanism={name}")
 
 
 class TestTieCycles:

@@ -19,9 +19,11 @@ from repro.controller import build_policy
 from repro.experiments import run_fig4, run_table1
 from repro.retention import RefreshBinning, RetentionProfiler
 from repro.runner import ExperimentRunner, ResultCache
+from repro.service import LocalClient
 from repro.sim import DRAMTiming, RefreshOverheadEvaluator
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.workloads import PARSEC_WORKLOADS, TraceGenerator
+from tests.oracles import round_walk
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -38,8 +40,7 @@ TABLE1_COLUMNS = ("bank size", "single cell", "our model", "paper (S/C/M)")
 
 #: Fixed recipe of the pinned fused-timeline run: refresh statistics
 #: plus the timeline-only telemetry (crossings, resets) no other
-#: artifact records.  The kernel backend is deliberately *not* pinned —
-#: numpy and numba images must produce the same file.
+#: artifact records.
 TIMELINE_RECIPE = dict(
     rows=1024,
     cols=32,
@@ -51,12 +52,12 @@ TIMELINE_RECIPE = dict(
 )
 
 
-def timeline_golden_rows(backend="fused"):
+def timeline_golden_rows(oracle=False):
     """CSV lines of the pinned fused-timeline run (mirrors regenerate.py).
 
-    ``backend="loop"`` produces the same statistic columns with
-    timeline telemetry blanked — used to assert the round walk still
-    agrees with the pinned fused numbers.
+    ``oracle=True`` prices every cell with the round-walk oracle
+    instead, timeline telemetry blanked — used to assert the oracle
+    still agrees with the pinned fused numbers.
     """
     recipe = TIMELINE_RECIPE
     timing = DRAMTiming.from_technology(DEFAULT_TECH)
@@ -72,7 +73,7 @@ def timeline_golden_rows(backend="fused"):
         policy = build_policy(
             name, DEFAULT_TECH, profile, binning, nbits=recipe["nbits"]
         )
-        evaluator = RefreshOverheadEvaluator(policy, timing, backend=backend)
+        evaluator = RefreshOverheadEvaluator(policy, timing)
         for benchmark in recipe["benchmarks"]:
             trace = (
                 TraceGenerator(
@@ -82,10 +83,11 @@ def timeline_golden_rows(backend="fused"):
                 if benchmark
                 else None
             )
-            stats = evaluator.evaluate(duration, trace)
-            if backend == "loop":
+            if oracle:
+                stats = round_walk(policy, timing, duration, trace)
                 crossings = resets = ""
             else:
+                stats = evaluator.evaluate(duration, trace)
                 report = evaluator.timeline.last_report
                 crossings, resets = report.crossings, report.resets
             lines.append(
@@ -124,7 +126,8 @@ class TestFig4Golden:
         cold and warm."""
         for _ in range(2):
             runner = ExperimentRunner(jobs=2, cache=ResultCache(tmp_path))
-            result = run_fig4(**FIG4_RECIPE, runner=runner)
+            with LocalClient(runner=runner) as client:
+                result = run_fig4(**FIG4_RECIPE, client=client)
             assert golden_rows(result) == read_golden("fig4_short.csv")
 
 
@@ -141,12 +144,13 @@ class TestTimelineGolden:
         assert timeline_golden_rows() == read_golden("timeline_fused.csv")
 
     def test_round_walk_agrees_with_pinned_statistics(self):
-        """The PR 3 oracle reproduces the golden's statistic columns —
-        regenerating the golden can never hide a fused/loop split."""
+        """The round-walk oracle reproduces the golden's statistic
+        columns — regenerating the golden can never hide a fused/oracle
+        split."""
         golden_stats = [
             line.rsplit(",", 2)[0] for line in read_golden("timeline_fused.csv")
         ]
         loop_stats = [
-            line.rsplit(",", 2)[0] for line in timeline_golden_rows(backend="loop")
+            line.rsplit(",", 2)[0] for line in timeline_golden_rows(oracle=True)
         ]
         assert loop_stats == golden_stats

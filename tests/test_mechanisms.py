@@ -40,6 +40,7 @@ from repro.retention.vrt import VRTParameters
 from repro.sim import (
     BankSimulator,
     DRAMTiming,
+    FusedTimeline,
     MemoryTrace,
     RankSimulator,
     RefreshOverheadEvaluator,
@@ -47,6 +48,7 @@ from repro.sim import (
 from repro.sim.schedule import should_defer_refresh
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
+from tests.oracles import round_walk
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
 
@@ -543,7 +545,7 @@ class TestAVATAR:
 
 
 # ------------------------------------------------------------------ #
-# Differential: fused ≡ loop ≡ engine for every new mechanism         #
+# Differential: fused ≡ round walk ≡ engine for every new mechanism   #
 # ------------------------------------------------------------------ #
 
 
@@ -555,34 +557,24 @@ class TestMechanismDifferential:
     @pytest.mark.parametrize("name", NEW_MECHANISMS)
     @pytest.mark.parametrize("with_trace", (False, True))
     def test_auto_loop_engine_identical(self, name, with_trace):
-        """Refresh pricing is backend-invariant despite the new seams."""
+        """Refresh pricing is path-invariant despite the new seams."""
         geometry = BankGeometry(48, 8)
         duration = TIMING.cycles(600 * MS)
         trace = _trace(geometry, duration, n=800) if with_trace else None
-        results = {}
-        for label in ("auto", "fused", "loop", "engine"):
-            policy = _policy(name, geometry)
-            if label == "engine":
-                stats = BankSimulator(policy, TIMING).run(
-                    trace=trace, duration_cycles=duration
-                ).refresh
-            else:
-                stats = RefreshOverheadEvaluator(
-                    policy, TIMING, backend=label
-                ).evaluate(duration, trace)
-            results[label] = _refresh_tuple(stats)
-        assert (
-            results["auto"]
-            == results["fused"]
-            == results["loop"]
-            == results["engine"]
-        )
+        evaluator = RefreshOverheadEvaluator(_policy(name, geometry), TIMING)
+        assert evaluator.timeline is not None
+        fused = evaluator.evaluate(duration, trace)
+        walk = round_walk(_policy(name, geometry), TIMING, duration, trace)
+        engine = BankSimulator(_policy(name, geometry), TIMING).run(
+            trace=trace, duration_cycles=duration
+        ).refresh
+        assert _refresh_tuple(fused) == _refresh_tuple(walk) == _refresh_tuple(engine)
 
     @pytest.mark.parametrize("name", NEW_MECHANISMS)
     def test_scalar_subclass_falls_back_identically(self, name):
-        """A scalar-only subclass downgrades to the round walk, results
-        unchanged and identical to the engine (PR 6's fallback contract
-        extended to every new mechanism)."""
+        """A scalar-only subclass is priced by the engine, results
+        unchanged and identical to the round walk (the fallback
+        contract extended to every new mechanism)."""
         base = _policy(name, BankGeometry(32, 8))
 
         class Scalar(type(base)):
@@ -598,33 +590,27 @@ class TestMechanismDifferential:
         geometry = BankGeometry(32, 8)
         duration = TIMING.cycles(400 * MS)
         trace = _trace(geometry, duration, n=300)
-        results = {}
-        for label in ("auto", "loop", "engine"):
-            policy = make()
-            if label == "engine":
-                stats = BankSimulator(policy, TIMING).run(
-                    trace=trace, duration_cycles=duration
-                ).refresh
-            else:
-                evaluator = RefreshOverheadEvaluator(policy, TIMING, backend=label)
-                assert evaluator.backend == "loop"
-                stats = evaluator.evaluate(duration, trace)
-            results[label] = _refresh_tuple(stats)
-        assert results["auto"] == results["loop"] == results["engine"]
+        evaluator = RefreshOverheadEvaluator(make(), TIMING)
+        assert evaluator.timeline is None
+        priced = evaluator.evaluate(duration, trace)
+        walk = round_walk(make(), TIMING, duration, trace)
+        engine = BankSimulator(make(), TIMING).run(
+            trace=trace, duration_cycles=duration
+        ).refresh
+        assert _refresh_tuple(priced) == _refresh_tuple(walk) == _refresh_tuple(engine)
 
     def test_downgrade_never_changes_statistics(self):
-        """Invariant 15 second half: an auto downgrade is stats-neutral.
+        """Invariant 15 second half: a fused -> engine downgrade is
+        stats-neutral.
 
-        Force the fused path and the loop path on the same mechanism and
-        compare — the downgrade decision can only pick between results
-        that are already identical."""
+        Price the same mechanism on the fused timeline and on the
+        engine and compare — the downgrade can only pick between
+        results that are already identical."""
         geometry = BankGeometry(48, 8)
         duration = TIMING.cycles(500 * MS)
         for name in NEW_MECHANISMS:
-            fused = RefreshOverheadEvaluator(
-                _policy(name, geometry), TIMING, backend="fused"
-            ).evaluate(duration)
-            loop = RefreshOverheadEvaluator(
-                _policy(name, geometry), TIMING, backend="loop"
-            ).evaluate(duration)
-            assert _refresh_tuple(fused) == _refresh_tuple(loop), name
+            fused = FusedTimeline(_policy(name, geometry), TIMING).evaluate(duration)
+            engine = BankSimulator(_policy(name, geometry), TIMING).run(
+                duration_cycles=duration
+            ).refresh
+            assert _refresh_tuple(fused) == _refresh_tuple(engine), name

@@ -23,15 +23,23 @@ from repro.runner import (
     shared_build_cache_info,
     tech_params,
 )
+from repro.service import LocalClient
 from repro.technology import BankGeometry, DEFAULT_TECH
 
 GEO = BankGeometry(256, 16)
 BENCHES = ["swaptions", "canneal"]
 
 
-def _fig4(**kwargs):
-    return run_fig4(
-        geometry=GEO, duration_seconds=0.1, benchmarks=BENCHES, **kwargs
+def _via(runner, driver, **kwargs):
+    """Run ``driver`` through an in-process client around ``runner``."""
+    with LocalClient(runner=runner) as client:
+        return driver(client=client, **kwargs)
+
+
+def _fig4(runner=None, **kwargs):
+    return _via(
+        runner, run_fig4,
+        geometry=GEO, duration_seconds=0.1, benchmarks=BENCHES, **kwargs,
     )
 
 
@@ -49,25 +57,29 @@ class TestParallelEqualsSerial:
 
     def test_rank_study_identical(self, tmp_path):
         serial = run_rank_comparison(duration_seconds=0.2)
-        parallel = run_rank_comparison(
+        parallel = _via(
+            ExperimentRunner(jobs=2, cache=ResultCache(tmp_path)),
+            run_rank_comparison,
             duration_seconds=0.2,
-            runner=ExperimentRunner(jobs=2, cache=ResultCache(tmp_path)),
         )
         assert parallel.rows == serial.rows
 
     def test_baselines_identical(self, tmp_path):
         serial = run_baseline_comparison(geometry=GEO, duration_seconds=0.2)
-        parallel = run_baseline_comparison(
+        parallel = _via(
+            ExperimentRunner(jobs=2, cache=ResultCache(tmp_path)),
+            run_baseline_comparison,
             geometry=GEO,
             duration_seconds=0.2,
-            runner=ExperimentRunner(jobs=2, cache=ResultCache(tmp_path)),
         )
         assert parallel.rows == serial.rows
 
     def test_temperature_identical(self, tmp_path):
         serial = run_temperature_study(geometry=GEO)
-        parallel = run_temperature_study(
-            geometry=GEO, runner=ExperimentRunner(jobs=2, cache=ResultCache(tmp_path))
+        parallel = _via(
+            ExperimentRunner(jobs=2, cache=ResultCache(tmp_path)),
+            run_temperature_study,
+            geometry=GEO,
         )
         assert parallel.rows == serial.rows
 
@@ -91,7 +103,7 @@ class TestWarmCache:
         cache = ResultCache(tmp_path)
         _fig4(runner=ExperimentRunner(cache=cache))
         report_notes = _fig4(
-        runner=ExperimentRunner(cache=cache), nbits=3
+            runner=ExperimentRunner(cache=cache), nbits=3
         ).notes["runner"]
         # nbits feeds every policy cell's key, including raidr's, so the
         # whole grid recomputes; a seed-only fig4 change behaves the same.

@@ -36,6 +36,7 @@ from repro.runner import (
     tech_params,
 )
 from repro.runner.cells import CELL_KINDS
+from repro.service import LocalClient
 from repro.technology import DEFAULT_TECH
 
 TECH = tech_params(DEFAULT_TECH)
@@ -95,16 +96,16 @@ class TestFaultGrammar:
         assert not parse_faults("raise@0,interrupt@1").needs_pool()
 
     def test_wildcard_cell_strikes_everything(self):
-        plan = parse_faults("jitfail@*")
-        assert plan.for_cell(0, 0).action == "jitfail"
-        assert plan.for_cell(999, 0).action == "jitfail"
+        plan = parse_faults("nan@*")
+        assert plan.for_cell(0, 0).action == "nan"
+        assert plan.for_cell(999, 0).action == "nan"
         assert plan.for_cell(0, 1) is None  # attempt filter still applies
 
     def test_numeric_actions_parse(self):
-        plan = parse_faults("nan@0, diverge@1, jitfail@*")
+        plan = parse_faults("nan@0, diverge@1")
         assert plan.for_cell(0, 0).action == "nan"
         assert plan.for_cell(1, 0).action == "diverge"
-        assert plan.for_cell(2, 0).action == "jitfail"
+        assert plan.for_cell(2, 0) is None
 
     @pytest.mark.parametrize(
         "bad",
@@ -484,16 +485,6 @@ class TestNumericChaosActions:
         assert convergence["netlist"].startswith("chaos-diverge")
         assert convergence["attempts"]  # the full rescue ladder was walked
 
-    def test_jitfail_wildcard_degrades_row_wise_bit_identical(self, baseline):
-        import os
-
-        from repro.sim._timeline_kernels import FORCE_JIT_FAILURE_ENV
-
-        report = ExperimentRunner(faults="jitfail@*").run(CELLS, "numeric-chaos")
-        assert not report.failures
-        assert report.results == baseline  # downgrade is bit-identical
-        assert FORCE_JIT_FAILURE_ENV not in os.environ  # state cleared
-
     def test_unconsumed_nan_is_a_loud_failure(self):
         from repro import guard
         from repro.runner.faults import (
@@ -511,21 +502,6 @@ class TestNumericChaosActions:
         assert not guard.injection_armed()
         clear_fault_state()  # idempotent
 
-    def test_clear_fault_state_pops_the_jit_env(self):
-        import os
-
-        from repro.runner.faults import (
-            FaultSpec,
-            clear_fault_state,
-            execute_fault,
-        )
-        from repro.sim._timeline_kernels import FORCE_JIT_FAILURE_ENV
-
-        execute_fault(FaultSpec("jitfail", None))
-        assert os.environ[FORCE_JIT_FAILURE_ENV] == "1"
-        clear_fault_state()
-        assert FORCE_JIT_FAILURE_ENV not in os.environ
-
 
 class TestDriverFailureTolerance:
     """The sweep drivers degrade gracefully around failed cells."""
@@ -541,7 +517,8 @@ class TestDriverFailureTolerance:
         )
         clean = run_fig4(**kwargs)
         # Cell order is policy-major: raidr/swaptions is computed cell 0.
-        chaotic = run_fig4(runner=ExperimentRunner(faults="raise@0"), **kwargs)
+        with LocalClient(runner=ExperimentRunner(faults="raise@0")) as client:
+            chaotic = run_fig4(client=client, **kwargs)
         benches = [row[0] for row in chaotic.rows]
         assert benches == ["canneal", "MEAN"]
         assert chaotic.notes["benchmarks dropped (failed cells)"] == "swaptions"
@@ -555,9 +532,9 @@ class TestDriverFailureTolerance:
         from repro.experiments import run_temperature_study
         from repro.technology import BankGeometry
 
-        result = run_temperature_study(
-            geometry=BankGeometry(256, 16),
-            runner=ExperimentRunner(faults="raise@2"),
-        )
+        with LocalClient(runner=ExperimentRunner(faults="raise@2")) as client:
+            result = run_temperature_study(
+                geometry=BankGeometry(256, 16), client=client
+            )
         assert len(result.rows) == 4  # 5 points, 1 dropped
         assert result.notes["temperatures dropped (failed cells)"] == "65 C"

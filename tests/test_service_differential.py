@@ -1,10 +1,9 @@
 """Invariant 13: service execution ≡ direct execution, bit for bit.
 
-Three ways to run the same experiment — handing the driver a bare
-``ExperimentRunner`` (wrapped in a transient in-process service),
-handing it a shared ``LocalClient``, and routing it through the asyncio
-socket server — must produce bit-identical ``ExperimentResult`` headers
-and rows.  Below the drivers, a raw ``runner.run`` of the hand-built
+Three ways to run the same experiment — calling the driver with no
+client (it builds a transient in-process one), handing it a shared
+``LocalClient``, and routing it through the asyncio socket server —
+must produce bit-identical ``ExperimentResult`` headers and rows.  Below the drivers, a raw ``runner.run`` of the hand-built
 cells must produce payloads bit-identical to the service answering the
 equivalent typed queries, with batching, dedup, and caching all in
 play.  No tolerance: repeatability here is exact equality.
@@ -89,16 +88,16 @@ def _table(result):
 )
 class TestDriverPathsIdentical:
     def test_runner_vs_local_client(self, driver, kwargs):
-        via_runner = driver(runner=ExperimentRunner(), **kwargs)
+        direct = driver(**kwargs)
         with LocalClient() as client:
             via_client = driver(client=client, **kwargs)
-        assert _table(via_runner) == _table(via_client)
+        assert _table(direct) == _table(via_client)
 
     def test_runner_vs_socket_server(self, driver, kwargs):
-        via_runner = driver(runner=ExperimentRunner(), **kwargs)
+        direct = driver(**kwargs)
         with remote_client() as client:
             via_socket = driver(client=client, **kwargs)
-        assert _table(via_runner) == _table(via_socket)
+        assert _table(direct) == _table(via_socket)
 
     def test_warm_rerun_identical_through_shared_client(self, driver, kwargs, tmp_path):
         from repro.runner import ResultCache

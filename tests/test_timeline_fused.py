@@ -4,9 +4,10 @@ The three-way differential harness
 (``tests/test_differential_engine_fastpath.py``) pins the fused
 timeline against the engine end to end; this module tests its parts:
 
-* **kernel equivalence** — the numba-compilable loop kernels and the
-  vectorized numpy scatter kernels are bit-identical on randomized
-  inputs, and both match a brute-force walk of Algorithm 1's counter;
+* **kernel equivalence** — the loop-form kernel oracles in
+  ``tests/oracles.py`` and the vectorized numpy scatter kernels are
+  bit-identical on randomized inputs, and both match a brute-force walk
+  of Algorithm 1's counter;
 * **epoch windowing** — chunked evaluation is bit-neutral vs the
   one-shot pass, for any epoch size;
 * **busy-chain closed forms** — :func:`service_starts` matches the
@@ -16,8 +17,9 @@ timeline against the engine end to end; this module tests its parts:
   the event loop bit for bit (stats, blocked cycles, counter state);
 * **scalar fallback** — a policy customizing only scalar hooks (the
   ``examples/custom_policy.py`` VRL-Temp) reports
-  ``supports_fused_timeline() == False``, every ``auto`` consumer
-  falls back to the round walk, and forcing ``fused`` raises.
+  ``supports_fused_timeline() == False``, the evaluator prices it on
+  the engine (bit-identical to ``BankSimulator.run``), and building a
+  ``FusedTimeline`` for it raises.
 """
 
 import importlib.util
@@ -29,7 +31,6 @@ import pytest
 from repro.controller import KIND_FULL, build_policy
 from repro.retention import RefreshBinning, RetentionProfiler
 from repro.sim import (
-    NUMBA_AVAILABLE,
     BankSimulator,
     DRAMTiming,
     FusedTimeline,
@@ -39,15 +40,11 @@ from repro.sim import (
     service_starts,
     union_length,
 )
-from repro.sim._timeline_kernels import (
-    _crossing_kinds_loop,
-    _segmented_fulls_loop,
-    crossing_kinds,
-    segmented_fulls,
-)
+from repro.sim._timeline_kernels import crossing_kinds, segmented_fulls
 from repro.sim.rank import _union_length
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
+from tests.oracles import crossing_kinds_loop, segmented_fulls_loop
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
 
@@ -115,18 +112,14 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_loop_kernel_matches_numpy_kernel(self, seed):
-        """The numba-compilable loop form ≡ the vectorized scatter form
-        (run as pure Python here, so it is covered with or without
-        numba installed)."""
+        """The loop-form oracle ≡ the vectorized scatter form."""
         rng = np.random.default_rng(100 + seed)
         counts, phase, cycle_len, rrows, rords = _random_segments(rng, 24)
         numpy_fulls, numpy_phase = segmented_fulls(
             counts, phase, cycle_len, rrows, rords
         )
-        loop_fulls = (counts + phase) // cycle_len
-        loop_phase = (counts + phase) % cycle_len
-        _segmented_fulls_loop(
-            counts, phase, cycle_len, rrows, rords, loop_fulls, loop_phase
+        loop_fulls, loop_phase = segmented_fulls_loop(
+            counts, phase, cycle_len, rrows, rords
         )
         assert np.array_equal(loop_fulls, numpy_fulls), f"seed={seed}"
         assert np.array_equal(loop_phase, numpy_phase), f"seed={seed}"
@@ -140,9 +133,7 @@ class TestKernelEquivalence:
         rows = rng.integers(0, n_rows, size=300).astype(np.int64)
         ordinals = rng.integers(0, 50, size=300).astype(np.int64)
         numpy_kinds = crossing_kinds(rows, ordinals, phase, cycle_len)
-        loop_kinds = _crossing_kinds_loop(
-            rows, ordinals, phase, cycle_len, np.empty(len(rows), dtype=np.uint8)
-        )
+        loop_kinds = crossing_kinds_loop(rows, ordinals, phase, cycle_len)
         assert np.array_equal(numpy_kinds, loop_kinds), f"seed={seed}"
 
     def test_crossing_kinds_matches_cadence(self):
@@ -156,17 +147,6 @@ class TestKernelEquivalence:
         assert (kinds == KIND_FULL).tolist() == [
             False, True, False, False, True, False,
         ]
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_jitted_kernels_match_numpy(self):
-        rng = np.random.default_rng(7)
-        counts, phase, cycle_len, rrows, rords = _random_segments(rng, 32)
-        plain = segmented_fulls(counts, phase, cycle_len, rrows, rords)
-        jitted = segmented_fulls(
-            counts, phase, cycle_len, rrows, rords, use_numba=True
-        )
-        assert np.array_equal(plain[0], jitted[0])
-        assert np.array_equal(plain[1], jitted[1])
 
 
 class TestEpochWindowing:
@@ -205,7 +185,6 @@ class TestEpochWindowing:
         assert report.crossings == stats.full_refreshes + stats.partial_refreshes
         assert report.resets == 0
         assert report.epochs == 1
-        assert report.backend == ("numba" if NUMBA_AVAILABLE else "numpy")
 
 
 class TestBusyChainClosedForms:
@@ -310,15 +289,15 @@ class TestRankFusedPath:
 
 class TestEvaluatorBackends:
     def test_invalid_backend_rejected(self):
+        """No refresh entry point takes a backend knob any more."""
         policy = _policy("vrl", BankGeometry(32, 8))
-        with pytest.raises(ValueError, match="backend"):
-            RefreshOverheadEvaluator(policy, TIMING, backend="warp")
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
-    def test_numba_backend_raises_without_numba(self):
-        policy = _policy("vrl", BankGeometry(32, 8))
-        with pytest.raises(ValueError, match="numba"):
-            RefreshOverheadEvaluator(policy, TIMING, backend="numba")
+        for build in (
+            lambda: FusedTimeline(policy, TIMING, backend="numpy"),
+            lambda: RefreshOverheadEvaluator(policy, TIMING, backend="fused"),
+            lambda: BankSimulator(policy, TIMING).refresh_stats(1000, backend="auto"),
+        ):
+            with pytest.raises(TypeError, match="backend"):
+                build()
 
     def test_refresh_stats_matches_run(self):
         """BankSimulator.refresh_stats ≡ run().refresh (fused vs engine)."""
@@ -342,11 +321,11 @@ def _load_custom_policy_module():
 
 
 class TestScalarFallback:
-    """A scalar-only subclass rides the round walk, results unchanged."""
+    """A scalar-only subclass is priced by the engine, results unchanged."""
 
-    def _custom_policy(self, geometry):
+    def _custom_policy(self, geometry, profile_seed=5):
         module = _load_custom_policy_module()
-        base = _policy("vrl-access", geometry)
+        base = _policy("vrl-access", geometry, profile_seed=profile_seed)
         # Hot every third stretch so the thermal override actually fires.
         return module.VRLTempPolicy(
             base.binning,
@@ -365,13 +344,24 @@ class TestScalarFallback:
         policy = self._custom_policy(BankGeometry(32, 8))
         with pytest.raises(ValueError, match="timeline_spec"):
             FusedTimeline(policy, TIMING)
-        with pytest.raises(ValueError, match="round walk|timeline_spec"):
-            RefreshOverheadEvaluator(policy, TIMING, backend="fused").evaluate(
-                TIMING.cycles(100 * MS)
-            )
+
+    def _evaluator_and_engine(self, geometry, duration, trace, profile_seed=5):
+        evaluator = RefreshOverheadEvaluator(
+            self._custom_policy(geometry, profile_seed), TIMING
+        )
+        assert evaluator.timeline is None
+        stats = evaluator.evaluate(duration, trace)
+        engine = BankSimulator(
+            self._custom_policy(geometry, profile_seed), TIMING
+        ).run(trace=trace, duration_cycles=duration).refresh
+        return [
+            (s.full_refreshes, s.partial_refreshes, s.refresh_cycles)
+            for s in (stats, engine)
+        ]
 
     def test_auto_falls_back_and_matches_engine(self):
-        """``auto`` ≡ ``loop`` ≡ engine for the scalar-only policy."""
+        """The evaluator prices the scalar-only policy exactly as the
+        engine does, with a trace."""
         geometry = BankGeometry(32, 8)
         duration = TIMING.cycles(800 * MS)
         rng = np.random.default_rng(3)
@@ -381,24 +371,24 @@ class TestScalarFallback:
             rng.random(400) < 0.5,
             name="fallback",
         )
-        results = {}
-        for label in ("auto", "loop", "engine"):
-            policy = self._custom_policy(geometry)
-            if label == "engine":
-                stats = BankSimulator(policy, TIMING).run(
-                    trace=trace, duration_cycles=duration
-                ).refresh
-            else:
-                evaluator = RefreshOverheadEvaluator(
-                    policy, TIMING, backend=label
-                )
-                assert evaluator.backend == "loop"
-                stats = evaluator.evaluate(duration, trace)
-            results[label] = (
-                stats.full_refreshes, stats.partial_refreshes,
-                stats.refresh_cycles,
-            )
-        assert results["auto"] == results["loop"] == results["engine"]
+        priced, engine = self._evaluator_and_engine(geometry, duration, trace)
+        assert priced == engine
+
+    def test_global_state_priced_in_time_order(self):
+        """VRL-Temp's global refresh index sees refreshes in time order.
+
+        With mixed period bins, round ``k`` of a 64 ms row and round
+        ``k`` of a 256 ms row fall at different times, so a round-by-
+        round walk hands this policy its refreshes out of order (it
+        prices 225 full / 584 partial / 7597 cycles here).  The
+        evaluator must match the engine: 232 / 577 / 7632.
+        """
+        geometry = BankGeometry(256, 8)
+        duration = TIMING.cycles(800 * MS)
+        priced, engine = self._evaluator_and_engine(
+            geometry, duration, None, profile_seed=0
+        )
+        assert priced == engine == (232, 577, 7632)
 
     def test_builtin_policies_stay_fused(self):
         geometry = BankGeometry(32, 8)
